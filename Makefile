@@ -33,8 +33,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# test/race: the explicit -timeout is about 3x the slowest package on a
+# 2-vCPU host (root package: ~11 s plain, ~135 s under -race), so a hung test
+# fails in under a minute (plain) instead of at Go's 10-minute default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 40s ./...
 
 vet:
 	$(GO) vet ./...
@@ -53,7 +56,7 @@ lint: fmt-check vet
 	@echo "lint: OK"
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 7m ./...
 
 bench:
 	$(GO) test -bench=RunnerMultiFigure -benchtime=3x -run='^$$'

@@ -116,7 +116,7 @@ commands:
   cpistack [flags]        attribute every cycle to a stall cause per group
   tournament [flags]      race the related-work policy zoo per trace group
   serve [flags]           HTTP job API: -addr -store -j -jobs -queue
-  trace record|info       trace-file toolbox: write (v2/v1), validate, inspect
+  trace record|info       trace-file toolbox: write (v2), validate, inspect
   record -o f [flags]     serialize a synthetic trace to a file (= trace record)
   replay -f f [flags]     simulate a recorded trace file (streamed, constant RSS)
   traces                  list trace groups and members

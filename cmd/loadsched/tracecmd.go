@@ -9,8 +9,8 @@ import (
 )
 
 // runTraceCmd implements `loadsched trace <record|info>`: the trace-file
-// toolbox. `trace record` serializes a synthetic trace (v2 packed-chunk
-// format by default, -v1 for the legacy flat format); `trace info`
+// toolbox. `trace record` serializes a synthetic trace in the v2
+// packed-chunk format; `trace info`
 // validates a file — structure, per-chunk CRCs, Seq monotonicity — and
 // reports its shape and packing density without materializing it.
 func runTraceCmd(args []string) {
@@ -33,7 +33,6 @@ func runTraceRecord(args []string) {
 	traceName := fs.String("trace", "ex", "trace name")
 	n := fs.Int("n", 300_000, "uops to record")
 	out := fs.String("o", "", "output file (required)")
-	v1 := fs.Bool("v1", false, "write the legacy flat v1 format")
 	_ = fs.Parse(args)
 	if *out == "" {
 		fatal("trace record: -o <file> is required")
@@ -42,14 +41,10 @@ func runTraceRecord(args []string) {
 	if !ok {
 		fatal("unknown trace %s/%s", *group, *traceName)
 	}
-	write, version := trace.WriteTraceFile, 2
-	if *v1 {
-		write, version = trace.WriteTraceFileV1, 1
-	}
-	if err := write(*out, p, *n); err != nil {
+	if err := trace.WriteTraceFile(*out, p, *n); err != nil {
 		fatal("trace record: %v", err)
 	}
-	fmt.Printf("recorded %d uops of %s/%s to %s (format v%d)\n", *n, *group, *traceName, *out, version)
+	fmt.Printf("recorded %d uops of %s/%s to %s (format v2)\n", *n, *group, *traceName, *out)
 }
 
 func runTraceInfo(args []string) {

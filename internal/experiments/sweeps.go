@@ -36,11 +36,9 @@ func SweepTable(kind, group string, o Options) (stats.Table, error) {
 
 	// The sweep is built in two passes so the whole design space executes as
 	// ONE pool.Run: registration walks the axis and appends every point's
-	// jobs (one per trace) to a single list, then the batch runner groups
-	// the cross-product by workload and steps same-trace engines in
-	// lockstep. point() closures read the shared result slice afterwards,
-	// geo-meaning their span, so the rendered rows are byte-identical to
-	// the old one-Run-per-point structure.
+	// jobs (one per trace) to a single list, which Run dispatches grouped by
+	// workload. point() closures read the shared result slice afterwards,
+	// geo-meaning their span.
 	var jobs []runner.Job
 	var sts []ooo.Stats
 	// addPoint registers one machine point over every trace and returns its

@@ -320,8 +320,7 @@ type Engine struct {
 	// Event-driven scheduling core (ready.go): readyList holds the slots of
 	// window entries whose operands are ready, in age order; wakeQ holds
 	// entries whose operands complete at a known future cycle. renameAge is
-	// the monotone counter behind rob.age. naive selects the retained
-	// full-walk reference scheduler (Config.NaiveSchedule).
+	// the monotone counter behind rob.age.
 	readyList []int32
 	// readyUnclass counts the loads in readyList still awaiting their
 	// schedule-time classification; the dispatch walk may only early-exit
@@ -330,7 +329,8 @@ type Engine struct {
 	readyUnclass int
 	wakeQ        wakeHeap
 	renameAge    int64
-	naive        bool
+	// ref selects the retained reference implementations (see reference).
+	ref reference
 
 	now int64
 
@@ -404,6 +404,20 @@ const (
 	runMeasure
 )
 
+// reference selects the retained reference implementations that the
+// in-package differential tests run against the production paths. Both
+// produce identical statistics; NewEngine always uses the zero value.
+type reference struct {
+	// naiveSchedule replaces ready.go's event-driven wakeup lists and
+	// idle-cycle fast-forward with the original per-cycle full-window
+	// readiness walk (schedule.go's dispatchNaive).
+	naiveSchedule bool
+	// aliasRename pins rename to per-engine alias-table producer
+	// resolution even when the source publishes the dependence side-car
+	// (see frontend.go).
+	aliasRename bool
+}
+
 // NewEngine builds an engine; it panics on an invalid configuration
 // (configurations are static here, so an error return would only be
 // rethrown by every caller). Every variable-size structure is allocated
@@ -411,6 +425,11 @@ const (
 // heap, MOB ring, pending-collision and miss-detection buffers) recycles
 // those arrays, so a warmed-up engine simulates without allocating.
 func NewEngine(cfg Config, src Source) *Engine {
+	return newEngine(cfg, src, reference{})
+}
+
+// newEngine is NewEngine with a choice of reference implementations.
+func newEngine(cfg Config, src Source, ref reference) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -429,7 +448,7 @@ func NewEngine(cfg Config, src Source) *Engine {
 		mob:            newMOB(mobCap),
 		pendingColl:    make([]int32, 0, 16),
 		missDetections: make([]int64, 0, 16),
-		naive:          cfg.NaiveSchedule,
+		ref:            ref,
 	}
 	e.setSource(src)
 	deps := PolicyDeps{Hier: e.hier, MissQ: e.missq}
@@ -497,15 +516,15 @@ func (e *Engine) Reset(src Source) bool {
 
 // setSource wires a (possibly bulk-capable) uop supplier and discards any
 // buffered tail of the previous one. Side-car rename engages only when the
-// source provides it, the configuration has not pinned the legacy
-// alias-table path, and the rename pool is small enough that a saturated
-// producer delta always compares as retired (the exactness condition of
-// the watermark test).
+// source provides it, the engine has not pinned the alias-table reference
+// path, and the rename pool is small enough that a saturated producer delta
+// always compares as retired (the exactness condition of the watermark
+// test).
 func (e *Engine) setSource(src Source) {
 	e.src = src
 	e.bulk, _ = src.(BulkSource)
 	e.depSrc, _ = src.(DepBatchSource)
-	if e.cfg.LegacyAliasRename || e.cfg.RenamePool >= uop.DepSaturated {
+	if e.ref.aliasRename || e.cfg.RenamePool >= uop.DepSaturated {
 		e.depSrc = nil
 	}
 	e.fetchRefU, e.fetchRefD = nil, nil
@@ -549,9 +568,9 @@ func (e *Engine) Retired() uint64 { return e.stats.Uops }
 func (e *Engine) Now() int64 { return e.now }
 
 // Run simulates until n uops retire after warmup and returns the measured
-// statistics. It is BeginRun + StepRun-to-completion + EndRun; batch
-// drivers (runner.RunBatch) use those pieces directly to interleave several
-// engines over one trace window.
+// statistics. It is BeginRun + StepRun-to-completion + EndRun; callers that
+// need to observe the engine between retirement quanta drive those pieces
+// directly.
 func (e *Engine) Run(n int) Stats {
 	e.BeginRun(n)
 	for !e.StepRun(1 << 30) {
@@ -600,7 +619,7 @@ func (e *Engine) StepRun(stride int) bool {
 		limit = s
 	}
 	for e.stats.Uops < limit {
-		if !e.naive {
+		if !e.ref.naiveSchedule {
 			// Jump over cycles where the machine provably cannot act,
 			// attributing them in bulk (see ready.go). Sits before cycle()
 			// so a measurement boundary never lands inside a skipped span.

@@ -25,10 +25,10 @@ import (
 //     so the last count stream positions occupy the ROB densely. No alias
 //     tables are maintained at all.
 //   - Legacy alias-table rename (rename/lookupProducer), the original
-//     per-engine derivation. Retained as the differential oracle behind
-//     Config.LegacyAliasRename and used whenever the source has no
-//     side-car (plain generators) or the rename pool is too large for the
-//     delta saturation bound.
+//     per-engine derivation. Used whenever the source has no side-car
+//     (plain generators) or the rename pool is too large for the delta
+//     saturation bound, and pinned by reference.aliasRename as the
+//     differential oracle for the side-car path.
 //
 // The mode is fixed per source: alias tables are not maintained while the
 // side-car path runs, so the two cannot be mixed within a run.

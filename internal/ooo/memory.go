@@ -181,7 +181,7 @@ func overlap(a uint64, asz int, b uint64, bsz int) bool {
 func (e *Engine) classifyLoad(idx int32) {
 	r := &e.rob
 	r.flags[idx] |= fClassified
-	if !e.naive {
+	if !e.ref.naiveSchedule {
 		// The load was counted unclassified when it entered the ready list
 		// (insertReady); the naive walk never maintains that list.
 		e.readyUnclass--

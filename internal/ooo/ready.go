@@ -107,7 +107,7 @@ func (e *Engine) linkDeps(idx int32) {
 	r := &e.rob
 	r.age[idx] = e.renameAge
 	e.renameAge++
-	if e.naive {
+	if e.ref.naiveSchedule {
 		return
 	}
 	var ready int64

@@ -136,8 +136,7 @@ func TestFastForwardCoincidentEventsDiff(t *testing.T) {
 			run := func(naive bool) Stats {
 				cfg := build()
 				cfg.WarmupUops = warmup
-				cfg.NaiveSchedule = naive
-				return NewEngine(cfg, trace.New(coincidentProfile)).Run(uops)
+				return newEngine(cfg, trace.New(coincidentProfile), reference{naiveSchedule: naive}).Run(uops)
 			}
 			event, naive := run(false), run(true)
 			if event != naive {

@@ -12,7 +12,7 @@ import (
 // cursor and, whenever the window fills, drains it with a bulk slot flush
 // that preserves the rename-time invariants (store watermark, architectural
 // producers) without paying for dispatch/execute/retire. The sidecar and
-// legacy sub-benchmarks differ only in Config.LegacyAliasRename, so their
+// legacy sub-benchmarks differ only in reference.aliasRename, so their
 // ratio is the producer-resolution speedup in isolation.
 func BenchmarkFetchRename(b *testing.B) {
 	prof := trace.Profile{Name: "bench-fetch-rename", Seed: 7}
@@ -26,8 +26,7 @@ func BenchmarkFetchRename(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Window, cfg.RenamePool = 1024, 1024
-			cfg.LegacyAliasRename = mode.legacy
-			e := NewEngine(cfg, trace.Replay(prof))
+			e := newEngine(cfg, trace.Replay(prof), reference{aliasRename: mode.legacy})
 			if mode.legacy == (e.depSrc != nil) {
 				b.Fatalf("legacy=%v but depSrc=%v", mode.legacy, e.depSrc != nil)
 			}

@@ -13,7 +13,7 @@ import (
 // the trace layer's precomputed dependence side-car (the default whenever
 // the source publishes one) must agree exactly — same Stats, same cycle
 // count, same CPI stack — with the legacy per-engine alias-table rename
-// (Config.LegacyAliasRename), across randomized machines, mixed trace
+// (reference.aliasRename), across randomized machines, mixed trace
 // groups, reused pooled engines and wrapping file replay.
 
 // TestRenameSidecarDiff pins side-car rename to the alias-table oracle on
@@ -39,8 +39,7 @@ func TestRenameSidecarDiff(t *testing.T) {
 			run := func(legacy bool) Stats {
 				cfg := tc.build()
 				cfg.WarmupUops = warmup
-				cfg.LegacyAliasRename = legacy
-				e := NewEngine(cfg, trace.Replay(tc.prof))
+				e := newEngine(cfg, trace.Replay(tc.prof), reference{aliasRename: legacy})
 				if legacy == (e.depSrc != nil) {
 					t.Fatalf("legacy=%v but depSrc=%v", legacy, e.depSrc != nil)
 				}
@@ -64,14 +63,10 @@ func TestRenameSidecarDiff(t *testing.T) {
 func TestRenameSidecarDiffPooledReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x9001ed))
 	profiles := diffProfiles(rng, 4)
-	mk := func(legacy bool) Config {
-		cfg := DefaultConfig()
-		cfg.WarmupUops = 500
-		cfg.LegacyAliasRename = legacy
-		return cfg
-	}
-	side := NewEngine(mk(false), trace.Replay(profiles[0]))
-	legacy := NewEngine(mk(true), trace.Replay(profiles[0]))
+	cfg := DefaultConfig()
+	cfg.WarmupUops = 500
+	side := newEngine(cfg, trace.Replay(profiles[0]), reference{})
+	legacy := newEngine(cfg, trace.Replay(profiles[0]), reference{aliasRename: true})
 	// Revisit groups so reuse happens both across and back onto a profile.
 	order := []int{0, 1, 2, 1, 3, 0, 2}
 	for i, pi := range order {
@@ -106,9 +101,8 @@ func TestRenameSidecarDiffStreamWrap(t *testing.T) {
 		defer r.Close()
 		cfg := DefaultConfig()
 		cfg.WarmupUops = 2000
-		cfg.LegacyAliasRename = legacy
 		// 2000 warmup + 10000 measured = two full wraps of the 6000-uop file.
-		return NewEngine(cfg, r).Run(10000)
+		return newEngine(cfg, r, reference{aliasRename: legacy}).Run(10000)
 	}
 	side, legacy := run(false), run(true)
 	if side != legacy {

@@ -14,7 +14,7 @@ import (
 
 // Differential property test for the event-driven scheduling core: the
 // wakeup-list scheduler plus idle-cycle fast-forward (the default) and the
-// retained naive full-window walk (Config.NaiveSchedule) must agree exactly
+// retained naive full-window walk (reference.naiveSchedule) must agree exactly
 // — same Stats, same cycle count, same CPI stack — on randomized workloads
 // across every ordering scheme, window size and speculation feature.
 
@@ -147,8 +147,7 @@ func TestEventSchedulerMatchesNaive(t *testing.T) {
 			run := func(naive bool) Stats {
 				cfg := tc.build()
 				cfg.WarmupUops = warmup
-				cfg.NaiveSchedule = naive
-				return NewEngine(cfg, trace.New(tc.prof)).Run(uops)
+				return newEngine(cfg, trace.New(tc.prof), reference{naiveSchedule: naive}).Run(uops)
 			}
 			event, naive := run(false), run(true)
 			if event != naive {

@@ -18,7 +18,7 @@ func (e *Engine) dispatch() {
 	if e.now < e.recoveryStallUntil {
 		return // replay/collision recovery in progress: no dispatch this cycle
 	}
-	if e.naive {
+	if e.ref.naiveSchedule {
 		e.dispatchNaive()
 		return
 	}
@@ -85,7 +85,7 @@ func (e *Engine) processMissDetections() {
 	e.missDetections = kept
 }
 
-// dispatchNaive is the retained reference scheduler (Config.NaiveSchedule):
+// dispatchNaive is the retained reference scheduler (reference.naiveSchedule):
 // the original full-window walk that polls sourcesReady on every slot. The
 // differential property test pins the event-driven core against it.
 func (e *Engine) dispatchNaive() {

@@ -169,45 +169,13 @@ func (c *Cache) Do(k Key, compute func() ooo.Stats) ooo.Stats {
 	return st
 }
 
-// do is Do plus the outcome classification, built on acquire: claim the
-// key's slot, compute, release. If compute panics, the deferred abandoning
-// release removes the entry from the map BEFORE closing done — waiters
-// observe an invalid entry and retry (the first of them re-runs compute)
-// while this caller's panic propagates.
+// do is Do plus the outcome classification. A caller that finds no entry
+// claims the key and resolves it: disk first (when a store is attached),
+// compute otherwise, writing computed results through. If compute panics,
+// the deferred bookkeeping removes the entry from the map BEFORE closing
+// done — waiters observe an invalid entry and retry (the first of them
+// re-runs compute) while this caller's panic propagates.
 func (c *Cache) do(k Key, compute func() ooo.Stats) (ooo.Stats, outcome) {
-	st, how, release := c.acquire(k)
-	if release == nil {
-		return st, how
-	}
-	published := false
-	defer func() {
-		if !published {
-			release(ooo.Stats{}, false)
-		}
-	}()
-	st = compute()
-	published = true
-	release(st, true)
-	return st, computed
-}
-
-// acquire claims or resolves the slot for k. Three outcomes:
-//
-//   - release == nil, how ∈ {memoHit, coalesced, diskHit}: the result is
-//     already resolved (possibly after blocking on an in-flight owner) and
-//     returned directly.
-//   - release != nil: this caller now OWNS the key. It must run the
-//     simulation itself and call release exactly once — release(st, true)
-//     publishes the result (write-through to disk included) and wakes
-//     waiters; release(_, false) abandons the claim, deleting the entry
-//     before closing done so waiters compete to re-claim instead of
-//     consuming zero values. The returned how is computed.
-//
-// Callers that may hold several claims at once (the batch runner steps many
-// owned engines in lockstep) MUST NOT acquire one key twice from the same
-// goroutine: the second acquire would block on the first claim's unpublished
-// entry forever. Dedup by Key before acquiring.
-func (c *Cache) acquire(k Key) (ooo.Stats, outcome, func(ooo.Stats, bool)) {
 	for {
 		c.mu.Lock()
 		if e, hit := c.m[k]; hit {
@@ -225,36 +193,34 @@ func (c *Cache) acquire(k Key) (ooo.Stats, outcome, func(ooo.Stats, bool)) {
 				// zero values.
 				continue
 			}
-			return e.stats, how, nil
+			return e.stats, how
 		}
 		e := &cacheEntry{done: make(chan struct{})}
 		c.m[k] = e
 		disk := c.disk
 		c.mu.Unlock()
-		if disk != nil {
-			if st, ok := diskGet(disk, k); ok {
-				e.stats, e.valid = st, true
-				close(e.done)
-				return st, diskHit, nil
-			}
-		}
-		release := func(st ooo.Stats, ok bool) {
-			if ok {
-				e.stats, e.valid = st, true
-			}
+		defer func() {
 			if !e.valid {
 				c.mu.Lock()
 				delete(c.m, k)
 				c.mu.Unlock()
-			} else if disk != nil && ok {
-				// Best effort: a failed write-through degrades persistence,
-				// not correctness, and the store's WriteErrors counter
-				// surfaces it.
-				diskPut(disk, k, st)
 			}
 			close(e.done)
+		}()
+		if disk != nil {
+			if st, ok := diskGet(disk, k); ok {
+				e.stats, e.valid = st, true
+				return st, diskHit
+			}
 		}
-		return ooo.Stats{}, computed, release
+		st := compute()
+		e.stats, e.valid = st, true
+		if disk != nil {
+			// Best effort: a failed write-through degrades persistence, not
+			// correctness, and the store's WriteErrors counter surfaces it.
+			diskPut(disk, k, st)
+		}
+		return st, computed
 	}
 }
 

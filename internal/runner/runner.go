@@ -114,15 +114,14 @@ type Counters struct {
 	// Uncached ran outside the cache: non-describable configs.
 	Uncached int64
 	// MapTasks counts fan-out units dispatched through Map. Run submits one
-	// task per batch unit (a group of same-workload jobs stepped in
-	// lockstep), so for Run job lists this counts units, not jobs.
+	// task per job, so for Run job lists it equals the jobs submitted.
 	MapTasks int64
 	// EngineBuilds and EngineReuses split the executed describable
 	// simulations by whether a fresh engine was constructed or a pooled one
 	// was Reset and reused.
 	EngineBuilds, EngineReuses int64
-	// SimTime is wall time spent inside simulations, summed over Do calls
-	// and batch units; it exceeds elapsed time when workers overlap.
+	// SimTime is wall time spent inside simulations, summed over Do calls;
+	// it exceeds elapsed time when workers overlap.
 	SimTime time.Duration
 }
 
@@ -249,13 +248,32 @@ func (p *Pool) runPooled(desc string, cfg ooo.Config, j Job) ooo.Stats {
 	return st
 }
 
-// Run executes every job and returns their statistics in job order,
-// regardless of completion order. Identical jobs (equal keys) are simulated
-// once and share the result. Run delegates to RunBatch, so jobs sharing a
-// workload execute in lockstep over the shared recording; results are
-// identical to submitting each job through Do.
+// Run executes every job through Do and returns their statistics in job
+// order, regardless of completion order. Identical jobs (equal keys) are
+// simulated once and share the result. Jobs are dispatched grouped by
+// Profile — profiles in first-seen order, list order within a profile — so
+// the workers replay one shared recording at a time while its decoded
+// chunks and side-cars are still cache-warm; raw list order measured
+// slower on full-size sweeps.
 func (p *Pool) Run(jobs []Job) []ooo.Stats {
-	return p.RunBatch(jobs)
+	var profiles []trace.Profile
+	groups := map[trace.Profile][]int{}
+	for i, j := range jobs {
+		if _, seen := groups[j.Profile]; !seen {
+			profiles = append(profiles, j.Profile)
+		}
+		groups[j.Profile] = append(groups[j.Profile], i)
+	}
+	order := make([]int, 0, len(jobs))
+	for _, prof := range profiles {
+		order = append(order, groups[prof]...)
+	}
+	out := make([]ooo.Stats, len(jobs))
+	Map(p, len(order), func(i int) struct{} {
+		out[order[i]] = p.Do(jobs[order[i]])
+		return struct{}{}
+	})
+	return out
 }
 
 // Map evaluates fn(0..n-1) on the pool's workers and returns the results in

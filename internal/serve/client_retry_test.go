@@ -40,7 +40,7 @@ func fake429Server(t *testing.T, busy int32, retryAfter string) (*httptest.Serve
 // succeeds on a later attempt.
 func TestClientRetries429(t *testing.T) {
 	srv, calls := fake429Server(t, 2, "1")
-	c := NewClient(srv.URL)
+	c := newTestClient(srv.URL)
 	var slept []time.Duration
 	c.sleep = func(d time.Duration) { slept = append(slept, d) }
 	rc, err := c.Do(Job{Command: "figure", Figures: []string{"5"}}, nil)
@@ -67,7 +67,7 @@ func TestClientRetries429(t *testing.T) {
 // full server still errors, after exactly the retry budget.
 func TestClientRetryBudgetExhausted(t *testing.T) {
 	srv, calls := fake429Server(t, 1<<30, "0")
-	c := NewClient(srv.URL)
+	c := newTestClient(srv.URL)
 	c.sleep = func(time.Duration) {}
 	_, err := c.Do(Job{Command: "figure", Figures: []string{"5"}}, nil)
 	if err == nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"loadsched/internal/experiments"
 	"loadsched/internal/results"
@@ -19,6 +20,17 @@ import (
 // tinyOptions keeps test jobs fast: one trace per group, short runs.
 func tinyOptions() results.Options {
 	return results.Options{Uops: 6_000, Warmup: 1_500, TracesPerGroup: 1}
+}
+
+// testHTTP bounds every HTTP exchange a test makes, so a server that never
+// answers fails the test instead of hanging the package.
+var testHTTP = &http.Client{Timeout: 30 * time.Second}
+
+// newTestClient returns a job client whose requests time out.
+func newTestClient(base string) *Client {
+	c := NewClient(base)
+	c.http = testHTTP
+	return c
 }
 
 // newTestServer returns a server over an isolated cache (so tests do not
@@ -36,7 +48,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func TestServeStreamMatchesDirectComputation(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
-	client := NewClient(hs.URL)
+	client := newTestClient(hs.URL)
 
 	var got []results.Record
 	rc, err := client.Do(Job{Command: "sweep", Sweep: "chtsize", Options: tinyOptions()},
@@ -68,7 +80,7 @@ func TestServeStreamMatchesDirectComputation(t *testing.T) {
 
 func TestServeSecondJobZeroSimulations(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
-	client := NewClient(hs.URL)
+	client := newTestClient(hs.URL)
 	job := Job{Command: "figure", Figures: []string{"7"}, Options: tinyOptions()}
 
 	cold, err := client.Do(job, nil)
@@ -109,7 +121,7 @@ func TestServeRestartOnSameStoreServesDiskHits(t *testing.T) {
 	// First server lifetime: cold, populates the store.
 	_, hs1 := newTestServer(t, Config{Workers: 2, Cache: openCache()})
 	var run1 bytes.Buffer
-	rc1, err := NewClient(hs1.URL).Do(job, func(rec results.Record) error {
+	rc1, err := newTestClient(hs1.URL).Do(job, func(rec results.Record) error {
 		raw, _ := json.Marshal(rec)
 		run1.Write(raw)
 		return nil
@@ -127,7 +139,7 @@ func TestServeRestartOnSameStoreServesDiskHits(t *testing.T) {
 	// records must be byte-identical.
 	_, hs2 := newTestServer(t, Config{Workers: 2, Cache: openCache()})
 	var run2 bytes.Buffer
-	rc2, err := NewClient(hs2.URL).Do(job, func(rec results.Record) error {
+	rc2, err := newTestClient(hs2.URL).Do(job, func(rec results.Record) error {
 		raw, _ := json.Marshal(rec)
 		run2.Write(raw)
 		return nil
@@ -159,16 +171,16 @@ func TestServeQueueFullRejectsWith429(t *testing.T) {
 
 	jobBody, _ := json.Marshal(Job{Command: "cpistack", Options: tinyOptions()})
 
-	// First job executes (wait until its executor runs), second occupies the
-	// single queue slot, third must bounce. The two in-flight submissions
-	// run on goroutines because accepted jobs stream: the POST does not
-	// return until the executor finishes.
+	// First job executes, second occupies the single queue slot, third must
+	// bounce. The two in-flight submissions run on goroutines because
+	// accepted jobs stream: the POST does not return until the executor
+	// finishes.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(jobBody))
+			resp, err := testHTTP.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(jobBody))
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -176,24 +188,38 @@ func TestServeQueueFullRejectsWith429(t *testing.T) {
 	}
 	defer wg.Wait()
 	defer close(block) // unblock the held jobs, THEN wait for the goroutines
-	<-started          // the executing job is inside exec; the other is queued or arriving
+	<-started
 
-	// The queue slot may take a moment to be claimed; poll until the third
-	// submission is rejected.
-	var resp *http.Response
-	for i := 0; ; i++ {
-		var err error
-		resp, err = http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(jobBody))
+	// Probe only once both submissions hold their slots: an admitted job
+	// writes nothing until it runs, so a probe that took the queue slot
+	// itself would block for good.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var st struct{ Running, Queued int }
+		resp, err := testHTTP.Get(hs.URL + "/v1/status")
 		if err != nil {
-			t.Fatalf("post: %v", err)
+			t.Fatalf("status: %v", err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decoding status: %v", err)
+		}
+		if st.Running == 1 && st.Queued == 1 {
 			break
 		}
-		resp.Body.Close()
-		if i > 100 {
-			t.Fatalf("third job was never rejected")
+		if time.Now().After(deadline) {
+			t.Fatalf("status never reached running=1 queued=1 (last %+v)", st)
 		}
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, err := testHTTP.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(jobBody))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		resp.Body.Close()
+		t.Fatalf("third job: status %d, want 429", resp.StatusCode)
 	}
 	defer resp.Body.Close()
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
@@ -222,7 +248,7 @@ func TestServeValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			resp, err := testHTTP.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatalf("post: %v", err)
 			}
@@ -239,7 +265,7 @@ func TestServeJobPanicBecomesStreamError(t *testing.T) {
 	s.exec = func(j Job, pool *runner.Pool, emit func(results.Record) error) error {
 		panic("engine exploded")
 	}
-	_, err := NewClient(hs.URL).Do(Job{Command: "all", Options: tinyOptions()}, nil)
+	_, err := newTestClient(hs.URL).Do(Job{Command: "all", Options: tinyOptions()}, nil)
 	if err == nil || !strings.Contains(err.Error(), "engine exploded") {
 		t.Fatalf("want a stream error carrying the panic, got %v", err)
 	}
@@ -255,13 +281,13 @@ func TestServeStatusAndHealth(t *testing.T) {
 	cache.SetStore(st)
 	_, hs := newTestServer(t, Config{Cache: cache})
 
-	resp, err := http.Get(hs.URL + "/healthz")
+	resp, err := testHTTP.Get(hs.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v status=%v", err, resp)
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(hs.URL + "/v1/status")
+	resp, err = testHTTP.Get(hs.URL + "/v1/status")
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}

@@ -37,7 +37,7 @@ func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16, lastStore int64) {
 	return
 }
 
-// TestCursorDepsMatchGroundTruth pins NextBatchDeps — producer deltas, IP
+// TestCursorDepsMatchGroundTruth pins NextBatchRef — producer deltas, IP
 // hashes and absolute last-store ids — to a brute-force recomputation over
 // the whole stream, across chunk boundaries and past the sharing cap into
 // the recycled private tail view.
@@ -49,18 +49,17 @@ func TestCursorDepsMatchGroundTruth(t *testing.T) {
 	c := Replay(p)
 	var ref refDeps
 	total := 5 * ChunkUops // crosses the cap into the private tail
-	buf := make([]uop.UOp, 150)
-	deps := make([]uop.Dep, 150)
 	for consumed := 0; consumed < total; {
-		n, base := c.NextBatchDeps(buf, deps)
-		if n <= 0 {
-			t.Fatalf("NextBatchDeps returned %d", n)
+		us, deps, base := c.NextBatchRef()
+		n := len(us)
+		if n == 0 || len(deps) != n {
+			t.Fatalf("NextBatchRef returned %d uops, %d deps", n, len(deps))
 		}
 		if base < 0 {
 			t.Fatalf("store base invalid at uop %d; generator ids are dense", consumed)
 		}
 		for i := 0; i < n; i++ {
-			u, d := &buf[i], &deps[i]
+			u, d := &us[i], &deps[i]
 			s1, s2, ls := ref.expect(u)
 			if d.Src1Back != s1 || d.Src2Back != s2 {
 				t.Fatalf("uop %d: producer deltas (%d,%d), want (%d,%d)",
@@ -81,30 +80,34 @@ func TestCursorDepsMatchGroundTruth(t *testing.T) {
 // TestCursorDepsMatchAcrossConsumers checks that a deps-consuming cursor
 // and a plain Next cursor observe the same uop stream (the side-car rides
 // along without perturbing replay) and that two cursors — one of which
-// forced the shared side-car build — see identical deps.
+// forced the shared side-car build, the other entering each chunk mid-way
+// after some plain Next calls — see identical deps.
 func TestCursorDepsMatchAcrossConsumers(t *testing.T) {
 	p := Profile{Name: "deplink-share", Seed: 92}
 	a, b, scalar := Replay(p), Replay(p), Replay(p)
-	buf := make([]uop.UOp, 200)
-	deps := make([]uop.Dep, 200)
-	buf2 := make([]uop.UOp, 200)
-	deps2 := make([]uop.Dep, 200)
-	for consumed := 0; consumed < 3*ChunkUops; {
-		n, base := a.NextBatchDeps(buf, deps)
-		for done := 0; done < n; {
-			m, base2 := b.NextBatchDeps(buf2[:n-done], deps2)
-			if base2 != base {
-				t.Fatalf("store bases diverged: %d vs %d", base2, base)
+	for consumed, round := 0, 0; consumed < 3*ChunkUops; round++ {
+		us, deps, base := a.NextBatchRef()
+		n := len(us)
+		skip := (37 * (round + 1)) % n
+		for i := 0; i < skip; i++ {
+			if b.Next() != us[i] {
+				t.Fatalf("uop %d: cursors diverged", consumed+i)
 			}
-			for i := 0; i < m; i++ {
-				if deps2[i] != deps[done+i] {
-					t.Fatalf("uop %d: deps diverged between cursors", consumed+done+i)
-				}
+		}
+		us2, deps2, base2 := b.NextBatchRef()
+		if len(us2) != n-skip || len(deps2) != n-skip {
+			t.Fatalf("round %d: mid-chunk ref returned %d uops, want %d", round, len(us2), n-skip)
+		}
+		if base2 != base {
+			t.Fatalf("store bases diverged: %d vs %d", base2, base)
+		}
+		for i := range deps2 {
+			if deps2[i] != deps[skip+i] {
+				t.Fatalf("uop %d: deps diverged between cursors", consumed+skip+i)
 			}
-			done += m
 		}
 		for i := 0; i < n; i++ {
-			if want := scalar.Next(); buf[i] != want {
+			if want := scalar.Next(); us[i] != want {
 				t.Fatalf("uop %d: deps cursor perturbs the uop stream", consumed+i)
 			}
 		}
@@ -133,19 +136,18 @@ func TestStreamReaderDepsMatchGroundTruth(t *testing.T) {
 	defer r.Close()
 
 	var ref refDeps
-	buf := make([]uop.UOp, 130)
-	deps := make([]uop.Dep, 130)
 	total := 3*fileUops + ChunkUops/4 // several wraps
 	for consumed := 0; consumed < total; {
-		n, base := r.NextBatchDeps(buf, deps)
-		if n <= 0 {
-			t.Fatalf("NextBatchDeps returned %d", n)
+		us, deps, base := r.NextBatchRef()
+		n := len(us)
+		if n == 0 || len(deps) != n {
+			t.Fatalf("NextBatchRef returned %d uops, %d deps", n, len(deps))
 		}
 		if base < 0 {
 			t.Fatalf("store base invalid at uop %d", consumed)
 		}
 		for i := 0; i < n; i++ {
-			s1, s2, ls := ref.expect(&buf[i])
+			s1, s2, ls := ref.expect(&us[i])
 			if deps[i].Src1Back != s1 || deps[i].Src2Back != s2 {
 				t.Fatalf("uop %d: producer deltas (%d,%d), want (%d,%d)",
 					consumed+i, deps[i].Src1Back, deps[i].Src2Back, s1, s2)
@@ -171,12 +173,10 @@ func TestRecordingSidecarDensity(t *testing.T) {
 	}
 	p := Profile{Name: "sidecar-density", Seed: 94}
 	c := Replay(p)
-	buf := make([]uop.UOp, 256)
-	deps := make([]uop.Dep, 256)
 	const n = 4 * ChunkUops
 	for consumed := 0; consumed < n; {
-		m, _ := c.NextBatchDeps(buf, deps)
-		consumed += m
+		us, _, _ := c.NextBatchRef()
+		consumed += len(us)
 	}
 	r := Materialize(p)
 	built := r.SidecarBytes()

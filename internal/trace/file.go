@@ -19,15 +19,16 @@ import (
 //
 //	header:  magic "LSUT" | u16 version | u16 reserved | u64 count
 //
-// Version 1 (legacy, still decodable) is a flat array of fixed-size
-// little-endian records:
+// Version 1 (legacy: still decoded, no longer written) is a flat array of
+// fixed-size little-endian records:
 //
 //	record:  u64 seq | u64 ip | u64 addr | u64 storeID
 //	         u8 kind | u8 dst | u8 src1 | u8 src2 | u8 size | u8 flags
 //	flags:   bit0 taken, bit1 mispredicted
 //
-// Version 2 (default) stores the stream as packed chunks (see packed.go) of
-// up to ChunkUops uops, each independently decodable and integrity-checked:
+// Version 2 (the only version written) stores the stream as packed chunks
+// (see packed.go) of up to ChunkUops uops, each independently decodable and
+// integrity-checked:
 //
 //	chunk:   u32 n | u32 payloadLen | payload | u32 crc32c(payload)
 //	payload: packedChunk marshal form (columns + varint delta streams)
@@ -103,40 +104,6 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 	return bw.Flush()
 }
 
-// WriteTraceV1 serializes n uops from src to w in the legacy flat-record
-// format, for tools that predate v2.
-func WriteTraceV1(w io.Writer, src Source, n int) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, fileVersionV1, uint64(n)); err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for i := 0; i < n; i++ {
-		u := src.Next()
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(u.Seq))
-		binary.LittleEndian.PutUint64(rec[8:16], u.IP)
-		binary.LittleEndian.PutUint64(rec[16:24], u.Addr)
-		binary.LittleEndian.PutUint64(rec[24:32], uint64(u.StoreID))
-		rec[32] = byte(u.Kind)
-		rec[33] = byte(u.Dst)
-		rec[34] = byte(u.Src1)
-		rec[35] = byte(u.Src2)
-		rec[36] = u.Size
-		var flags byte
-		if u.Taken {
-			flags |= 1
-		}
-		if u.Mispredicted {
-			flags |= 2
-		}
-		rec[37] = flags
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // Source is the uop supplier interface (satisfied by *Generator, *Reader,
 // *StreamReader and *Cursor).
 type Source interface {
@@ -145,21 +112,12 @@ type Source interface {
 
 // WriteTraceFile records n uops of a profile's trace into path (v2 format).
 func WriteTraceFile(path string, p Profile, n int) error {
-	return writeTraceFileWith(path, p, n, WriteTrace)
-}
-
-// WriteTraceFileV1 is WriteTraceFile in the legacy v1 format.
-func WriteTraceFileV1(path string, p Profile, n int) error {
-	return writeTraceFileWith(path, p, n, WriteTraceV1)
-}
-
-func writeTraceFileWith(path string, p Profile, n int, write func(io.Writer, Source, int) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := write(f, New(p), n); err != nil {
+	if err := WriteTrace(f, New(p), n); err != nil {
 		return err
 	}
 	return f.Sync()
@@ -585,7 +543,7 @@ func (r *StreamReader) nextChunk() {
 	}
 	// Build the chunk's side-car unconditionally: the analyzer must observe
 	// every replayed uop to keep its carry correct whatever mix of Next and
-	// NextBatchDeps the consumer uses, and emitting the links costs barely
+	// NextBatchRef the consumer uses, and emitting the links costs barely
 	// more than observing. The uops are already renumbered, so the
 	// analyzer's store watermark — and with it the returned base — is
 	// absolute across wraps.
@@ -596,24 +554,6 @@ func (r *StreamReader) nextChunk() {
 	r.depBase = r.an.buildInto(r.deps[:n], r.view.us[:n])
 	r.depNanos += time.Since(start).Nanoseconds()
 	r.depUops += int64(n)
-}
-
-// NextBatchDeps is NextBatch plus the chunk's dependence side-car (see
-// Cursor.NextBatchDeps for the contract). The chunk is renumbered in place
-// at decode time, so uops and deps are both straight copies.
-func (r *StreamReader) NextBatchDeps(dst []uop.UOp, deps []uop.Dep) (int, int64) {
-	if len(dst) == 0 {
-		return 0, 0
-	}
-	if r.viewPos == len(r.view.us) {
-		r.nextChunk()
-	}
-	n := copy(dst, r.view.us[r.viewPos:])
-	if m := copy(deps, r.deps[r.viewPos:r.viewPos+n]); m < n {
-		n = m
-	}
-	r.viewPos += n
-	return n, r.depBase
 }
 
 // NextBatchRef returns the remainder of the current decoded chunk as direct

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +13,41 @@ import (
 	"loadsched/internal/uop"
 )
 
+// writeTraceV1 serializes n uops from src to w in the legacy flat-record
+// format. Production code no longer writes v1; the cross-version tests and
+// fuzz seeds use this to produce the files the v1 reader must still load.
+func writeTraceV1(w io.Writer, src Source, n int) error {
+	bw := bufio.NewWriter(w)
+	if err := writeHeader(bw, fileVersionV1, uint64(n)); err != nil {
+		return err
+	}
+	var rec [recordSize]byte
+	for i := 0; i < n; i++ {
+		u := src.Next()
+		binary.LittleEndian.PutUint64(rec[0:8], uint64(u.Seq))
+		binary.LittleEndian.PutUint64(rec[8:16], u.IP)
+		binary.LittleEndian.PutUint64(rec[16:24], u.Addr)
+		binary.LittleEndian.PutUint64(rec[24:32], uint64(u.StoreID))
+		rec[32] = byte(u.Kind)
+		rec[33] = byte(u.Dst)
+		rec[34] = byte(u.Src1)
+		rec[35] = byte(u.Src2)
+		rec[36] = u.Size
+		var flags byte
+		if u.Taken {
+			flags |= 1
+		}
+		if u.Mispredicted {
+			flags |= 2
+		}
+		rec[37] = flags
+		if _, err := bw.Write(rec[:]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 // TestV1V2CrossDecode pins cross-version equivalence: the same stream
 // written in both formats must replay identically through both readers,
 // across wrap-around renumbering too.
@@ -17,7 +55,7 @@ func TestV1V2CrossDecode(t *testing.T) {
 	p := Profile{Name: "xdec", Seed: 17}
 	const n = ChunkUops + 700 // full chunk + short tail chunk
 	var v1, v2 bytes.Buffer
-	if err := WriteTraceV1(&v1, New(p), n); err != nil {
+	if err := writeTraceV1(&v1, New(p), n); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteTrace(&v2, New(p), n); err != nil {
@@ -52,7 +90,13 @@ func TestStreamReaderMatchesReader(t *testing.T) {
 		write func(path string) error
 	}{
 		{"v2", func(path string) error { return WriteTraceFile(path, p, n) }},
-		{"v1", func(path string) error { return WriteTraceFileV1(path, p, n) }},
+		{"v1", func(path string) error {
+			var b bytes.Buffer
+			if err := writeTraceV1(&b, New(p), n); err != nil {
+				return err
+			}
+			return os.WriteFile(path, b.Bytes(), 0o644)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "t.lsut")

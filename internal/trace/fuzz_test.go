@@ -16,7 +16,7 @@ func fuzzTraceSeeds(f *testing.F) {
 	if err := WriteTrace(&v2, New(Profile{Name: "seed", Seed: 1}), 64); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteTraceV1(&v1, New(Profile{Name: "seed", Seed: 1}), 64); err != nil {
+	if err := writeTraceV1(&v1, New(Profile{Name: "seed", Seed: 1}), 64); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())

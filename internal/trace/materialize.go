@@ -238,35 +238,12 @@ func (c *Cursor) NextBatch(dst []uop.UOp) int {
 	return n
 }
 
-// NextBatchDeps is NextBatch plus the dependence side-car: it fills deps in
-// lockstep with dst (deps must be at least as long as the returned count;
-// callers size it like dst) and returns the store base the batch's
-// Dep.LastStore deltas are relative to, -1 if the chunk's side-car store
-// deltas are invalid. Like NextBatch it never crosses a chunk boundary, so
-// one base covers the whole batch.
-func (c *Cursor) NextBatchDeps(dst []uop.UOp, deps []uop.Dep) (int, int64) {
-	if len(dst) == 0 {
-		return 0, 0
-	}
-	if c.i == len(c.us) {
-		c.advance()
-	}
-	n := copy(dst, c.us[c.i:])
-	if m := copy(deps, c.deps[c.i:c.i+n]); m < n {
-		n = m
-	}
-	c.i += n
-	return n, c.depBase
-}
-
 // NextBatchRef returns the remainder of the current decoded chunk as direct
 // views — the uops, their side-car entries in lockstep, and the store base
 // the batch's Dep.LastStore deltas are relative to — consuming it all. The
 // slices stay valid until the next call on this cursor and must be treated
 // as read-only: shared recording chunks back them for every consumer at
-// once. This is the engine fetch path's refill seam (ooo.DepBatchSource);
-// handing out chunk storage in place replaces the per-batch double copy of
-// NextBatchDeps.
+// once. This is the engine fetch path's refill seam (ooo.DepBatchSource).
 func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	if c.i == len(c.us) {
 		c.advance()
@@ -276,13 +253,8 @@ func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	return us, deps, c.depBase
 }
 
-// Pos reports how many uops the cursor has consumed so far. Batch drivers
-// (runner.RunBatch) use it to keep a group of engines inside one shared
-// window of the recording.
-func (c *Cursor) Pos() int { return c.base + c.i }
-
-// advance moves the cursor onto the decoded view holding position Pos().
-// Views are whole chunks, so Pos() is chunk-aligned here.
+// advance moves the cursor onto the decoded view holding its next stream
+// position. Views are whole chunks, so that position is chunk-aligned here.
 func (c *Cursor) advance() {
 	pos := c.base + c.i
 	c.base, c.i = pos, 0
