@@ -24,6 +24,7 @@ type Config struct {
 	// RetireWidth is the number of uops retired per cycle (6).
 	RetireWidth int
 	// RenamePool is the renamer register pool / instruction window (128).
+	// It must stay below uop.DepSaturated, the side-car delta bound.
 	RenamePool int
 	// Window is the scheduling-window (reservation station) size; the paper
 	// models 8–128 with a 32-entry baseline.
@@ -201,6 +202,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ooo: non-positive window sizes")
 	case c.Window > c.RenamePool:
 		return fmt.Errorf("ooo: scheduling window %d exceeds rename pool %d", c.Window, c.RenamePool)
+	case c.RenamePool >= uop.DepSaturated:
+		// Side-car producer deltas saturate at DepSaturated; rename treats a
+		// saturated delta as retired, which is exact only below this bound.
+		return fmt.Errorf("ooo: rename pool %d must be below %d", c.RenamePool, uop.DepSaturated)
 	case c.IntUnits <= 0 || c.MemUnits <= 0 || c.FPUnits <= 0 || c.ComplexUnits <= 0 || c.STDPorts <= 0:
 		return fmt.Errorf("ooo: every execution-unit count must be positive")
 	case c.NewPolicy == nil && c.Scheme.UsesCHT() && c.CHT == nil:

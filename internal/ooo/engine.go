@@ -28,42 +28,22 @@ import (
 // Every speculation decision flows through the SpeculationPolicy seam, so
 // stage code contains machine mechanics only.
 
-// Source supplies the dynamic uop stream (a trace generator).
-type Source interface {
-	Next() uop.UOp
-}
-
-// BulkSource is an optional Source extension for suppliers that can copy a
-// run of uops at once — trace replay cursors and stream readers gather
-// straight out of decoded chunk columns. The engine refills its fetch
-// buffer through it, turning the per-uop interface call into a slice read.
-// A stride of NextBatch calls must yield exactly the stream Next would.
-type BulkSource interface {
-	Source
-	NextBatch(dst []uop.UOp) int
-}
-
-// DepBatchSource is the bulk seam extended with the static dependence
-// side-car (see internal/trace deplink.go): NextBatchRef exposes the
-// source's current decoded run as direct slices — uops and side-car
+// Source supplies the dynamic uop stream together with its static
+// dependence side-car (see internal/trace deplink.go). NextBatchRef hands
+// out the source's current decoded run as direct slices — uops and side-car
 // entries in lockstep, valid until the next call on the source — plus the
 // store base the run's Dep.LastStore deltas are relative to (-1: invalid
-// for this run, the engine falls back to its own MOB watermark). Handing
-// out references instead of filling caller buffers removes a ~52-byte copy
-// per uop from the fetch path; the engine treats the slices as read-only
-// (shared recording chunks back them for every sweep engine at once). The
-// side-car lets rename resolve producers by position arithmetic instead of
-// alias-table lookups; the contract that makes that exact is that the
-// consumer has observed the stream from its beginning, so side-car
-// position deltas and the engine's rename count share an origin.
-type DepBatchSource interface {
-	BulkSource
+// for this run, the engine falls back to its own MOB watermark). Sources
+// never run dry. The engine treats the slices as read-only (shared
+// recording chunks back them for every sweep engine at once) and renames
+// straight out of them, so fetch copies nothing. The side-car lets rename
+// resolve producers by position arithmetic; that is exact because the
+// engine observes the stream from its beginning, so side-car position
+// deltas and the engine's rename count share an origin. trace.Replay
+// cursors and trace.StreamReader implement it.
+type Source interface {
 	NextBatchRef() (us []uop.UOp, deps []uop.Dep, storeBase int64)
 }
-
-// fetchBufUops sizes the engine's fetch refill buffer: a few rename
-// groups' worth, small enough to stay hot in L1.
-const fetchBufUops = 64
 
 // LoadEvent describes one retired load for statistical consumers.
 type LoadEvent struct {
@@ -188,7 +168,7 @@ func (r *robState) size() int { return len(r.flags) }
 
 // clearSlot claims one slot for freshly renamed u: valid, in the scheduling
 // window. Every other per-slot field is left stale on purpose — each is
-// proven write-before-read along its lifecycle: the rename paths write both
+// proven write-before-read along its lifecycle: renameDep writes both
 // producer pairs explicitly; linkDeps writes age/readyAt and only
 // increments nwaiting (0 at slot entry: a slot is reused only after it
 // dispatched, which requires nwaiting to have drained, and reset zeroes it
@@ -287,15 +267,10 @@ func (m *mobState) capacity() int { return len(m.flags) }
 type Engine struct {
 	cfg Config
 	src Source
-	// bulk is src's BulkSource form (nil when unsupported); fetchBuf with
-	// fetchPos/fetchLen is the refill buffer nextUop drains. depSrc is the
-	// side-car-capable form (nil when unsupported or disabled by config);
-	// when set, rename reads fetchRefU/fetchRefD — zero-copy views into the
-	// source's decoded chunk, uops and side-car entries in lockstep — and
-	// fetchStoreBase anchors the current run's Dep.LastStore deltas.
-	bulk               BulkSource
-	depSrc             DepBatchSource
-	fetchBuf           []uop.UOp
+	// fetchRefU/fetchRefD are the source's current run — zero-copy views
+	// into its decoded chunk, uops and side-car entries in lockstep — with
+	// fetchPos/fetchLen the rename cursor into them; fetchStoreBase anchors
+	// the run's Dep.LastStore deltas.
 	fetchRefU          []uop.UOp
 	fetchRefD          []uop.Dep
 	fetchStoreBase     int64
@@ -333,9 +308,6 @@ type Engine struct {
 	ref reference
 
 	now int64
-
-	regProd [uop.MaxArchRegs]int32
-	regSeq  [uop.MaxArchRegs]int64
 
 	mob mobState
 
@@ -412,10 +384,6 @@ type reference struct {
 	// idle-cycle fast-forward with the original per-cycle full-window
 	// readiness walk (schedule.go's dispatchNaive).
 	naiveSchedule bool
-	// aliasRename pins rename to per-engine alias-table producer
-	// resolution even when the source publishes the dependence side-car
-	// (see frontend.go).
-	aliasRename bool
 }
 
 // NewEngine builds an engine; it panics on an invalid configuration
@@ -439,7 +407,6 @@ func newEngine(cfg Config, src Source, ref reference) *Engine {
 	}
 	e := &Engine{
 		cfg:            cfg,
-		fetchBuf:       make([]uop.UOp, fetchBufUops),
 		hier:           cache.NewHierarchy(cfg.Hier),
 		missq:          cache.NewMissQueue(16),
 		rob:            newROB(cfg.RenamePool),
@@ -474,10 +441,6 @@ func (e *Engine) resetState() {
 	e.wakeQ = e.wakeQ[:0]
 	e.renameAge = 0
 	e.now = 0
-	for i := range e.regProd {
-		e.regProd[i] = -1
-		e.regSeq[i] = 0
-	}
 	e.mob.start, e.mob.length = 0, 0
 	e.mob.first = 1
 	e.staDoneTo, e.allDoneTo = 1, 1
@@ -514,39 +477,12 @@ func (e *Engine) Reset(src Source) bool {
 	return true
 }
 
-// setSource wires a (possibly bulk-capable) uop supplier and discards any
-// buffered tail of the previous one. Side-car rename engages only when the
-// source provides it, the engine has not pinned the alias-table reference
-// path, and the rename pool is small enough that a saturated producer delta
-// always compares as retired (the exactness condition of the watermark
-// test).
+// setSource wires a uop supplier and discards the unrenamed tail of the
+// previous one's current run.
 func (e *Engine) setSource(src Source) {
 	e.src = src
-	e.bulk, _ = src.(BulkSource)
-	e.depSrc, _ = src.(DepBatchSource)
-	if e.ref.aliasRename || e.cfg.RenamePool >= uop.DepSaturated {
-		e.depSrc = nil
-	}
 	e.fetchRefU, e.fetchRefD = nil, nil
 	e.fetchPos, e.fetchLen = 0, 0
-}
-
-// nextUop pulls one uop, draining the fetch buffer and refilling it in
-// bulk when the source supports that. Buffering is invisible to the
-// simulation — the engine consumes the identical stream either way.
-func (e *Engine) nextUop() uop.UOp {
-	if e.fetchPos < e.fetchLen {
-		u := e.fetchBuf[e.fetchPos]
-		e.fetchPos++
-		return u
-	}
-	if e.bulk != nil {
-		if n := e.bulk.NextBatch(e.fetchBuf); n > 0 {
-			e.fetchLen, e.fetchPos = n, 1
-			return e.fetchBuf[0]
-		}
-	}
-	return e.src.Next()
 }
 
 // Hierarchy exposes the simulated data hierarchy (read-only use).

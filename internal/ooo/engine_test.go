@@ -15,6 +15,7 @@ type sliceSource struct {
 	uops []uop.UOp
 	pos  int
 	seq  int64
+	run  depRun
 }
 
 func newSliceSource(uops []uop.UOp) *sliceSource {
@@ -26,7 +27,9 @@ func newSliceSource(uops []uop.UOp) *sliceSource {
 	return s
 }
 
-func (s *sliceSource) Next() uop.UOp {
+func (s *sliceSource) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) { return s.run.fill(s.next) }
+
+func (s *sliceSource) next() uop.UOp {
 	if s.pos < len(s.uops) {
 		u := s.uops[s.pos]
 		s.pos++
@@ -35,6 +38,67 @@ func (s *sliceSource) Next() uop.UOp {
 	u := uop.UOp{Seq: s.seq, IP: 0x700000 + uint64(s.seq%8)*4, Kind: uop.IntALU, Dst: 1}
 	s.seq++
 	return u
+}
+
+// depRunUops is the run length the in-package test sources serve.
+const depRunUops = 16
+
+// depRun turns a test uop generator into an engine Source run by run,
+// deriving each run's dependence side-car the way the trace layer's
+// analyzer does: producer deltas by stream position, saturated at
+// uop.DepSaturated, and last-store deltas over a per-run store base that
+// becomes -1 when a StoreID jump overflows 16 bits.
+type depRun struct {
+	us   [depRunUops]uop.UOp
+	deps [depRunUops]uop.Dep
+	pos  int64
+	// lastWrite[r] is 1 + the stream position of r's youngest writer (0:
+	// none yet); storeMax is the largest StoreID seen.
+	lastWrite [uop.MaxArchRegs]int64
+	storeMax  int64
+	// fallbacks counts runs served with store base -1.
+	fallbacks int
+}
+
+// back returns reg's producer delta from the current stream position: 0
+// for no producer, saturated at uop.DepSaturated.
+func (r *depRun) back(reg uop.Reg) uint16 {
+	lw := r.lastWrite[reg]
+	switch {
+	case lw == 0:
+		return 0
+	case r.pos-lw+1 >= uop.DepSaturated:
+		return uop.DepSaturated
+	}
+	return uint16(r.pos - lw + 1)
+}
+
+// fill serves the next run from next.
+func (r *depRun) fill(next func() uop.UOp) ([]uop.UOp, []uop.Dep, int64) {
+	base, ok := r.storeMax, true
+	for i := range r.us {
+		u := next()
+		r.us[i] = u
+		d := &r.deps[i]
+		*d = uop.Dep{IPHash: uop.HashIP(u.IP), Src1Back: r.back(u.Src1), Src2Back: r.back(u.Src2)}
+		if ls := r.storeMax - base; ls <= uop.DepSaturated {
+			d.LastStore = uint16(ls)
+		} else {
+			ok = false
+		}
+		if u.Dst != uop.NoReg {
+			r.lastWrite[u.Dst] = r.pos + 1
+		}
+		if u.StoreID > r.storeMax {
+			r.storeMax = u.StoreID
+		}
+		r.pos++
+	}
+	if !ok {
+		r.fallbacks++
+		base = -1
+	}
+	return r.us[:], r.deps[:], base
 }
 
 func testConfig() Config {
@@ -266,7 +330,7 @@ func TestWindowSizeLimitsILP(t *testing.T) {
 		cfg := testConfig()
 		cfg.Window = window
 		p := trace.Profile{Name: "w", Seed: 42}
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(30000).IPC()
 	}
 	small, big := run(8), run(128)
@@ -278,7 +342,7 @@ func TestWindowSizeLimitsILP(t *testing.T) {
 func TestClassificationPartitionsLoads(t *testing.T) {
 	p := trace.Profile{Name: "c", Seed: 7}
 	cfg := testConfig()
-	e := NewEngine(cfg, trace.New(p))
+	e := NewEngine(cfg, trace.Replay(p))
 	st := e.Run(50000)
 	c := st.Class
 	if c.Loads == 0 {
@@ -304,7 +368,7 @@ func TestSchemeOrderingOnRealTrace(t *testing.T) {
 		if scheme.UsesCHT() {
 			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		}
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(100000).IPC()
 	}
 	trad := run(memdep.Traditional)
@@ -328,7 +392,7 @@ func TestHMPPerfectNotSlower(t *testing.T) {
 		if hmp == "perfect" {
 			cfg.HMP = &hitmiss.Perfect{}
 		}
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(100000).IPC()
 	}
 	base := run("always-hit")
@@ -368,6 +432,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.Window = 0 },
 		func(c *Config) { c.Window = c.RenamePool + 1 },
+		func(c *Config) { c.RenamePool = uop.DepSaturated },
 		func(c *Config) { c.MemUnits = 0 },
 		func(c *Config) { c.Scheme = memdep.Inclusive; c.CHT = nil },
 		func(c *Config) { c.CollisionPenalty = -1 },
@@ -390,6 +455,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestResetReproducesFirstRun pins Reset semantics: a reset engine re-fed
+// from a fresh cursor must reproduce its first run.
+func TestResetReproducesFirstRun(t *testing.T) {
+	p := trace.Profile{Name: "bulk-reset", Seed: 78}
+	e := NewEngine(DefaultConfig(), trace.Replay(p))
+	first := e.Run(30000)
+	e.Reset(trace.Replay(p))
+	second := e.Run(30000)
+	if first != second {
+		t.Fatalf("reset run diverges:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+}
+
 func TestNewEnginePanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -405,7 +483,7 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	p := trace.Profile{Name: "warm", Seed: 3}
 	cfg := testConfig()
 	cfg.WarmupUops = 10000
-	e := NewEngine(cfg, trace.New(p))
+	e := NewEngine(cfg, trace.Replay(p))
 	st := e.Run(20000)
 	if st.Uops < 20000 || st.Uops >= 20000+uint64(cfg.RetireWidth) {
 		t.Fatalf("measured uops = %d, want 20000 (± retire width, warmup excluded)", st.Uops)
@@ -418,7 +496,7 @@ func TestDeterministicRuns(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Scheme = memdep.Inclusive
 		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(50000)
 	}
 	a, b := run(), run()

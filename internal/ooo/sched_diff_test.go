@@ -147,7 +147,7 @@ func TestEventSchedulerMatchesNaive(t *testing.T) {
 			run := func(naive bool) Stats {
 				cfg := tc.build()
 				cfg.WarmupUops = warmup
-				return newEngine(cfg, trace.New(tc.prof), reference{naiveSchedule: naive}).Run(uops)
+				return newEngine(cfg, trace.Replay(tc.prof), reference{naiveSchedule: naive}).Run(uops)
 			}
 			event, naive := run(false), run(true)
 			if event != naive {

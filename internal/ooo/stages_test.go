@@ -91,9 +91,12 @@ func TestMOBPrunedAtRetire(t *testing.T) {
 type storeStream struct {
 	seq int64
 	id  int64
+	run depRun
 }
 
-func (s *storeStream) Next() uop.UOp {
+func (s *storeStream) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) { return s.run.fill(s.next) }
+
+func (s *storeStream) next() uop.UOp {
 	u := uop.UOp{Seq: s.seq, IP: 0x500000 + uint64(s.seq%32)*4}
 	switch s.seq % 4 {
 	case 0:

@@ -4,12 +4,13 @@ import "loadsched/internal/uop"
 
 // Static dependence side-car. Which uop produces a source register, and
 // which store is the youngest one older than a load, are properties of the
-// uop stream alone — no machine configuration changes them. Yet every
-// engine in a sweep re-derives them per uop through its private alias
-// tables and MOB bookkeeping. The side-car hoists that analysis to the
-// trace layer: one depAnalyzer pass per chunk, at decode time, produces a
-// []uop.Dep that every engine replaying the chunk consumes by plain
-// indexing (see internal/ooo frontend.go for the consumer contract).
+// uop stream alone — no machine configuration changes them — so deriving
+// them per engine, through private alias tables and MOB bookkeeping, would
+// repeat the same work for every engine in a sweep. The side-car hoists
+// that analysis to the trace layer: one depAnalyzer pass per chunk, at
+// decode time, produces a []uop.Dep that every engine replaying the chunk
+// consumes by plain indexing (see internal/ooo frontend.go for the
+// consumer contract).
 //
 // All producer references are backward stream-position deltas, so they are
 // invariant under the Seq/StoreID renumbering that file replay applies when
@@ -33,8 +34,8 @@ type DepChunk struct {
 
 // depAnalyzer derives the side-car in one forward pass. It carries across
 // chunk boundaries: lastWrite and pos persist for the whole stream (and, in
-// file replay, across wraps — producers can reach back through a wrap
-// exactly like the renamer's alias tables do), while storeMax is snapshot
+// file replay, across wraps — a producer may still be in flight when its
+// consumer renames on the far side of a wrap), while storeMax is snapshot
 // per batch to form each batch's delta base.
 type depAnalyzer struct {
 	// pos is the stream position of the next uop to observe.

@@ -330,8 +330,8 @@ type StreamReader struct {
 
 	// Dependence side-car, rebuilt per recycled chunk during replay (never
 	// during the open-time scan, which must not advance the analyzer). The
-	// analyzer's register state carries across wraps — exactly like the
-	// renamer's alias tables, a producer can reach back through a wrap —
+	// analyzer's register state carries across wraps — a producer can
+	// reach back through a wrap, just as it stays in flight in the engine —
 	// while its store counter restarts with the raw IDs at each rewind.
 	// deps is one recycled buffer, so side-car replay stays constant-RSS.
 	an       depAnalyzer
@@ -496,20 +496,6 @@ func (r *StreamReader) Next() uop.UOp {
 	u := r.view.us[r.viewPos]
 	r.viewPos++
 	return u
-}
-
-// NextBatch fills dst from the current decoded chunk (never crossing a
-// chunk boundary) and reports how many uops it wrote.
-func (r *StreamReader) NextBatch(dst []uop.UOp) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if r.viewPos == len(r.view.us) {
-		r.nextChunk()
-	}
-	n := copy(dst, r.view.us[r.viewPos:])
-	r.viewPos += n
-	return n
 }
 
 func (r *StreamReader) nextChunk() {

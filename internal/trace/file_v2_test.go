@@ -125,42 +125,6 @@ func TestStreamReaderMatchesReader(t *testing.T) {
 	}
 }
 
-// TestStreamReaderNextBatch pins the stream reader's bulk path to its
-// scalar path across chunk boundaries and a wrap.
-func TestStreamReaderNextBatch(t *testing.T) {
-	p := Profile{Name: "stream-batch", Seed: 29}
-	const n = ChunkUops + 50
-	path := filepath.Join(t.TempDir(), "t.lsut")
-	if err := WriteTraceFile(path, p, n); err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := StreamTraceFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scalar.Close()
-	bulk, err := StreamTraceFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bulk.Close()
-	total := 2*n + 7
-	batch := make([]uop.UOp, 100)
-	for consumed := 0; consumed < total; {
-		m := bulk.NextBatch(batch)
-		if m <= 0 {
-			t.Fatalf("NextBatch returned %d", m)
-		}
-		for i := 0; i < m; i++ {
-			want := scalar.Next()
-			if batch[i] != want {
-				t.Fatalf("uop %d: bulk %+v, scalar %+v", consumed+i, batch[i], want)
-			}
-		}
-		consumed += m
-	}
-}
-
 // TestV2RejectsCorruptCRC flips one payload byte of a valid v2 file; both
 // readers must refuse the file and name the CRC.
 func TestV2RejectsCorruptCRC(t *testing.T) {

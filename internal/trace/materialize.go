@@ -175,8 +175,8 @@ func (r *Recording) PackedBytes() int64 { return r.packed.Load() }
 // far (12 bytes per uop per built chunk).
 func (r *Recording) SidecarBytes() int64 { return r.sidecar.Load() }
 
-// Cursor replays a recording from the start. It implements the engine's
-// Source (and its bulk extension, NextBatch). Cursors are cheap — one
+// Cursor replays a recording from the start. It implements ooo.Source
+// (NextBatchRef) and trace.Source (Next). Cursors are cheap — one
 // small allocation, no generation state — and independent; a cursor is not
 // safe for concurrent use by multiple goroutines, but any number of
 // cursors may run concurrently over one recording.
@@ -223,27 +223,12 @@ func (c *Cursor) Next() uop.UOp {
 	return u
 }
 
-// NextBatch fills dst from the current decoded chunk and reports how many
-// uops it wrote (at least 1 for a nonempty dst). It never crosses a chunk
-// boundary in one call, so the copy is a straight memmove.
-func (c *Cursor) NextBatch(dst []uop.UOp) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if c.i == len(c.us) {
-		c.advance()
-	}
-	n := copy(dst, c.us[c.i:])
-	c.i += n
-	return n
-}
-
 // NextBatchRef returns the remainder of the current decoded chunk as direct
 // views — the uops, their side-car entries in lockstep, and the store base
 // the batch's Dep.LastStore deltas are relative to — consuming it all. The
 // slices stay valid until the next call on this cursor and must be treated
 // as read-only: shared recording chunks back them for every consumer at
-// once. This is the engine fetch path's refill seam (ooo.DepBatchSource).
+// once. This is the engine fetch path's refill seam (ooo.Source).
 func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	if c.i == len(c.us) {
 		c.advance()

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"testing"
-
-	"loadsched/internal/uop"
-)
+import "testing"
 
 // TestPackedChunkRoundTrip pins the codec: generator uops packed chunk by
 // chunk, marshaled to the file payload form, unmarshaled and decoded, must
@@ -124,30 +120,33 @@ func TestRecordingPackedDensity(t *testing.T) {
 	t.Logf("recording density: %.2f bytes/uop over %d uops", perUop, r.Len())
 }
 
-// TestCursorNextBatchMatchesNext pins the bulk path to the scalar one,
-// including ragged batch sizes across chunk boundaries and the private
-// recycled view past the sharing cap.
-func TestCursorNextBatchMatchesNext(t *testing.T) {
+// TestCursorNextBatchRefMatchesNext pins the engine's zero-copy read path
+// to the scalar one, interleaving plain Next calls so runs start mid-chunk,
+// across chunk boundaries and past the sharing cap into the recycled
+// private view.
+func TestCursorNextBatchRefMatchesNext(t *testing.T) {
 	defer func(old int) { maxSharedUops = old }(maxSharedUops)
 	maxSharedUops = 2 * ChunkUops
 
 	p := Profile{Name: "packed-batch", Seed: 44}
-	scalar, bulk := Replay(p), Replay(p)
+	scalar, mixed := Replay(p), Replay(p)
 	total := 5 * ChunkUops // crosses the cap into the recycled private view
-	sizes := []int{1, 3, 64, 100, ChunkUops, ChunkUops + 9}
-	buf := make([]uop.UOp, ChunkUops+9)
-	for consumed, si := 0, 0; consumed < total; si++ {
-		dst := buf[:sizes[si%len(sizes)]]
-		n := bulk.NextBatch(dst)
-		if n <= 0 {
-			t.Fatalf("NextBatch returned %d for dst of %d", n, len(dst))
+	for consumed, round := 0, 0; consumed < total; round++ {
+		for i := 0; i < (round%3)*50; i++ {
+			if got, want := mixed.Next(), scalar.Next(); got != want {
+				t.Fatalf("uop %d: Next %+v, scalar %+v", consumed, got, want)
+			}
+			consumed++
 		}
-		for i := 0; i < n; i++ {
-			want := scalar.Next()
-			if dst[i] != want {
-				t.Fatalf("uop %d: bulk %+v, scalar %+v", consumed+i, dst[i], want)
+		us, _, _ := mixed.NextBatchRef()
+		if len(us) == 0 {
+			t.Fatalf("NextBatchRef returned no uops at %d", consumed)
+		}
+		for i := range us {
+			if want := scalar.Next(); us[i] != want {
+				t.Fatalf("uop %d: NextBatchRef %+v, scalar %+v", consumed+i, us[i], want)
 			}
 		}
-		consumed += n
+		consumed += len(us)
 	}
 }
