@@ -16,6 +16,7 @@ import (
 	"loadsched/internal/hitmiss"
 	"loadsched/internal/memdep"
 	"loadsched/internal/ooo"
+	"loadsched/internal/predict"
 	"loadsched/internal/runner"
 	"loadsched/internal/smt"
 	"loadsched/internal/trace"
@@ -345,12 +346,21 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(chunk, "uops/op")
 }
 
+// microStream is the number of lookups in one op of the layer micro-benches
+// (CacheAccess, HMPLocalPredict, BankPredictorC, GSkew): each op is one pass
+// over a fixed stream, so the ns/op stays far above timer resolution at
+// bench-json's BENCHTIME of 10 iterations.
+const microStream = 4096
+
 func BenchmarkCacheAccess(b *testing.B) {
 	h := cache.NewHierarchy(cache.DefaultHierarchyConfig())
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*64) % (1 << 20))
+	for n := 0; n < b.N; n++ {
+		for i := n * microStream; i < (n+1)*microStream; i++ {
+			h.Access(uint64(i*64) % (1 << 20))
+		}
 	}
+	b.ReportMetric(microStream, "lookups/op")
 }
 
 func BenchmarkCHTLookup(b *testing.B) {
@@ -370,9 +380,12 @@ func BenchmarkHMPLocalPredict(b *testing.B) {
 		p.Update(uint64(i*4), 0, 0, i%16 != 0)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PredictHit(uint64(i%4096)*4, 0, 0)
+	for n := 0; n < b.N; n++ {
+		for i := 0; i < microStream; i++ {
+			p.PredictHit(uint64(i)*4, 0, 0)
+		}
 	}
+	b.ReportMetric(microStream, "lookups/op")
 }
 
 func BenchmarkBankPredictorC(b *testing.B) {
@@ -381,9 +394,34 @@ func BenchmarkBankPredictorC(b *testing.B) {
 		p.Update(uint64(i*4), i%2)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Predict(uint64(i%4096) * 4)
+	for n := 0; n < b.N; n++ {
+		for i := 0; i < microStream; i++ {
+			p.Predict(uint64(i) * 4)
+		}
 	}
+	b.ReportMetric(microStream, "lookups/op")
+}
+
+// gskewSink keeps BenchmarkGSkew's predictions live.
+var gskewSink predict.Prediction
+
+// BenchmarkGSkew measures the bank predictors' gskew component: one op is a
+// Predict+Update pair for each load IP of the stream, whose outcomes follow
+// a period-7 pattern.
+func BenchmarkGSkew(b *testing.B) {
+	g := predict.NewGSkew(10, 17, 3)
+	for i := 0; i < microStream; i++ {
+		g.Update(uint64(i*4), i%7 == 0)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := 0; i < microStream; i++ {
+			ip := uint64(i * 4)
+			gskewSink = g.Predict(ip)
+			g.Update(ip, i%7 == 0)
+		}
+	}
+	b.ReportMetric(microStream, "lookups/op")
 }
 
 // BenchmarkFacadeRun measures the facade in repeated use: the first

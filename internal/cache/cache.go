@@ -54,6 +54,9 @@ type Cache struct {
 	lines    []line
 	lineBits uint
 	setMask  uint64
+	// tagShift is lineBits + log2(Sets()): an address shifted right by it
+	// is the line's tag. It is fixed at New, like lineBits and setMask.
+	tagShift uint
 	tick     uint64
 
 	// Hits and Misses count Access results since the last ResetStats.
@@ -69,6 +72,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg}
 	c.lineBits = uint(log2(cfg.LineBytes))
 	c.setMask = uint64(cfg.Sets() - 1)
+	c.tagShift = c.lineBits + uint(log2(cfg.Sets()))
 	c.lines = make([]line, cfg.Sets()*cfg.Ways)
 	return c
 }
@@ -85,8 +89,7 @@ func log2(v int) int {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	lineAddr := addr >> c.lineBits
-	return lineAddr & c.setMask, lineAddr >> uint(log2(c.cfg.Sets()))
+	return (addr >> c.lineBits) & c.setMask, addr >> c.tagShift
 }
 
 // set returns the ways of one set as a sub-slice of the flat backing array.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,43 @@ func TestConfigValidate(t *testing.T) {
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestCacheIndexMatchesGeometry pins the set/tag split that New precomputes:
+// for every valid geometry, the set is the line address modulo the set count
+// and the tag is the line address shifted past the set bits, so set and tag
+// together recover the line address.
+func TestCacheIndexMatchesGeometry(t *testing.T) {
+	d := DefaultHierarchyConfig()
+	cfgs := []Config{d.L1I, d.L1D, d.L2,
+		{SizeBytes: 1024, LineBytes: 64, Ways: 2},
+		{SizeBytes: 64, LineBytes: 64, Ways: 1},  // one set: no set bits
+		{SizeBytes: 512, LineBytes: 64, Ways: 8}, // fully associative
+		{SizeBytes: 32 << 10, LineBytes: 32, Ways: 2},
+		{SizeBytes: 8 << 20, LineBytes: 128, Ways: 16},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, cfg := range cfgs {
+		c := New(cfg)
+		sets := uint64(cfg.Sets())
+		setBits := bits.TrailingZeros64(sets)
+		lineShift := bits.TrailingZeros64(uint64(cfg.LineBytes))
+		for i := 0; i < 2000; i++ {
+			addr := rng.Uint64()
+			if i%2 == 0 {
+				addr >>= rng.Intn(64)
+			}
+			lineAddr := addr >> lineShift
+			set, tag := c.index(addr)
+			if set != lineAddr%sets || tag != lineAddr>>setBits {
+				t.Fatalf("%+v addr %#x: index = (set %d, tag %#x), want (%d, %#x)",
+					cfg, addr, set, tag, lineAddr%sets, lineAddr>>setBits)
+			}
+			if tag<<setBits|set != lineAddr {
+				t.Fatalf("%+v addr %#x: set and tag do not recover line address %#x", cfg, addr, lineAddr)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"loadsched/internal/cache"
 	"loadsched/internal/hitmiss"
 	"loadsched/internal/runner"
@@ -29,7 +31,7 @@ type Fig10Row struct {
 // chooser cuts AH-PM to 0.04–0.2% while giving up little AM-PM; FP traces
 // predict best, "Others" worst; AM-PM outweighs AH-PM at least 5:1.
 //
-// Every replay owns fresh predictors and a fresh hierarchy, so the
+// Every replay owns fresh predictors and a reset hierarchy, so the
 // per-trace tallies are independent: they run concurrently and merge per
 // group in trace order.
 func Fig10(o Options) []Fig10Row {
@@ -80,11 +82,19 @@ func fig10Traces(o Options, gname string) []trace.Profile {
 	return out
 }
 
-// replayLoads streams a trace's loads through a fresh hierarchy in program
+// replayHierarchies recycles the replay hierarchies: each is about 100 KB of
+// line arrays, and a Figure 10 pass replays every trace.
+var replayHierarchies = sync.Pool{New: func() any {
+	return cache.NewHierarchy(cache.DefaultHierarchyConfig())
+}}
+
+// replayLoads streams a trace's loads through a reset hierarchy in program
 // order, calling fn with each load's actual L1 outcome. measured=false for
 // warmup loads.
 func replayLoads(p trace.Profile, o Options, fn func(ip, addr uint64, hit, measured bool)) {
-	h := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	h := replayHierarchies.Get().(*cache.Hierarchy)
+	defer replayHierarchies.Put(h)
+	h.Reset()
 	warmup := o.EffectiveWarmup()
 	replayUops(p, warmup+o.Uops, func(us []uop.UOp, base int) {
 		for j := range us {

@@ -123,10 +123,14 @@ func (c *chooser) PredictHit(ip, _ uint64, _ int64) bool {
 	gm := c.gshare.Predict(ip).Taken
 	km := c.gskew.Predict(ip).Taken
 	votes := 0
-	for _, v := range []bool{lm, gm, km} {
-		if v {
-			votes++
-		}
+	if lm {
+		votes++
+	}
+	if gm {
+		votes++
+	}
+	if km {
+		votes++
 	}
 	// Miss needs a majority that includes the local component; global-only
 	// agreement is too often table pollution.

@@ -3,22 +3,21 @@ package predict
 // Bimodal is the classic per-address table of saturating counters, indexed by
 // a hash of the key with no history. It is the simplest component predictor
 // the paper combines into bank predictor B. The counters live in a flat
-// ctrTable byte array.
+// ctrTable byte array; the index mask is fixed at construction.
 type Bimodal struct {
-	table       ctrTable
-	indexBits   uint
-	counterBits uint
+	table   ctrTable
+	idxMask uint64
 }
 
 // NewBimodal returns a bimodal predictor with 2^indexBits counters of
 // counterBits each.
 func NewBimodal(indexBits, counterBits uint) *Bimodal {
-	b := &Bimodal{indexBits: indexBits, counterBits: counterBits}
+	b := &Bimodal{idxMask: mask(indexBits)}
 	b.table = newCtrTable(1<<indexBits, counterBits, satInit(counterBits))
 	return b
 }
 
-func (b *Bimodal) index(key uint64) uint64 { return hashIP(key) & mask(b.indexBits) }
+func (b *Bimodal) index(key uint64) uint64 { return hashIP(key) & b.idxMask }
 
 // Predict implements Binary.
 func (b *Bimodal) Predict(key uint64) Prediction {

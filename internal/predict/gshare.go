@@ -4,31 +4,33 @@ package predict
 // by the XOR of the key hash with a global outcome history. The paper's
 // hybrid HMP uses an 11-outcome load-global history; bank predictors use a
 // history of recent bank outcomes. The counters live in a flat ctrTable
-// byte array.
+// byte array; the index and history masks are fixed at construction.
 type GShare struct {
-	table       ctrTable
-	history     uint64
-	indexBits   uint
-	historyLen  uint
-	counterBits uint
+	table      ctrTable
+	history    uint64
+	indexBits  uint
+	historyLen uint
+	idxMask    uint64
+	histMask   uint64
 }
 
 // NewGShare returns a gshare predictor with 2^indexBits counters and a
 // historyLen-outcome global history (historyLen <= indexBits is typical but
 // not required; the history is folded to the index width).
 func NewGShare(indexBits, historyLen, counterBits uint) *GShare {
-	g := &GShare{indexBits: indexBits, historyLen: historyLen, counterBits: counterBits}
+	g := &GShare{indexBits: indexBits, historyLen: historyLen,
+		idxMask: mask(indexBits), histMask: mask(historyLen)}
 	g.table = newCtrTable(1<<indexBits, counterBits, satInit(counterBits))
 	return g
 }
 
 func (g *GShare) index(key uint64) uint64 {
-	h := g.history & mask(g.historyLen)
+	h := g.history & g.histMask
 	// Fold a history longer than the index down to the index width.
 	for bits := g.historyLen; bits > g.indexBits; bits -= g.indexBits {
-		h = (h & mask(g.indexBits)) ^ (h >> g.indexBits)
+		h = (h & g.idxMask) ^ (h >> g.indexBits)
 	}
-	return (hashIP(key) ^ h) & mask(g.indexBits)
+	return (hashIP(key) ^ h) & g.idxMask
 }
 
 // Predict implements Binary.
@@ -62,4 +64,4 @@ func (g *GShare) Reset() {
 }
 
 // History returns the current global history value (low historyLen bits).
-func (g *GShare) History() uint64 { return g.history & mask(g.historyLen) }
+func (g *GShare) History() uint64 { return g.history & g.histMask }

@@ -8,71 +8,91 @@ package predict
 // 20-outcome history; bank predictors A and C use a 17-outcome history.
 //
 // The three banks live in ONE flat ctrTable: bank b occupies entries
-// [b<<indexBits, (b+1)<<indexBits), so a vote touches one byte array.
+// [b<<indexBits, (b+1)<<indexBits), so a vote touches one byte array. The
+// index and history masks are fixed at construction, and each call hashes
+// (key, history) once and derives all three bank indices from that hash.
 type GSkew struct {
-	banks       ctrTable
-	history     uint64
-	indexBits   uint
-	historyLen  uint
-	counterBits uint
+	banks     ctrTable
+	history   uint64
+	indexBits uint
+	idxMask   uint64
+	histMask  uint64
 }
 
 // NewGSkew returns a gskew predictor with three 2^indexBits-entry banks and a
 // historyLen-outcome global history.
 func NewGSkew(indexBits, historyLen, counterBits uint) *GSkew {
-	g := &GSkew{indexBits: indexBits, historyLen: historyLen, counterBits: counterBits}
+	g := &GSkew{indexBits: indexBits, idxMask: mask(indexBits), histMask: mask(historyLen)}
 	g.banks = newCtrTable(3<<indexBits, counterBits, satInit(counterBits))
 	return g
 }
 
-// skewHash mixes key and history with a per-bank multiplier so that the three
-// bank indices are decorrelated, then offsets into the bank's slice of the
-// flat table. This stands in for the H/H^-1 skewing functions of [Mich97];
-// only the decorrelation property matters here.
-func (g *GSkew) skewHash(bank int, key uint64) uint64 {
-	var muls = [3]uint64{0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9}
-	v := hashIP(key) ^ (g.history & mask(g.historyLen))
-	v *= muls[bank]
+// skewMuls are the per-bank multipliers that decorrelate the three bank
+// indices. They stand in for the H/H^-1 skewing functions of [Mich97]; only
+// the decorrelation property matters here.
+var skewMuls = [3]uint64{0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9}
+
+// skew maps the shared (key, history) hash v to an entry of bank b's slice
+// of the flat table.
+func (g *GSkew) skew(b int, v uint64) uint64 {
+	v *= skewMuls[b]
 	v ^= v >> 31
-	return uint64(bank)<<g.indexBits | v&mask(g.indexBits)
+	return uint64(b)<<g.indexBits | v&g.idxMask
 }
 
-// vote tallies the three banks for key; it returns the majority direction
-// and the agreeing bank count.
-func (g *GSkew) vote(key uint64) (taken bool, agree int) {
+// indices returns key's entry in each of the three banks under the current
+// history.
+func (g *GSkew) indices(key uint64) (i0, i1, i2 uint64) {
+	v := hashIP(key) ^ (g.history & g.histMask)
+	return g.skew(0, v), g.skew(1, v), g.skew(2, v)
+}
+
+// majority returns the majority direction of three bank votes and the number
+// of banks that agree with it.
+func majority(t0, t1, t2 bool) (taken bool, agree int) {
 	votes := 0
-	for b := 0; b < 3; b++ {
-		if g.banks.taken(g.skewHash(b, key)) {
-			votes++
-		}
+	if t0 {
+		votes++
 	}
-	taken = votes >= 2
-	if taken {
-		agree = votes
-	} else {
-		agree = 3 - votes
+	if t1 {
+		votes++
 	}
-	return taken, agree
+	if t2 {
+		votes++
+	}
+	if votes >= 2 {
+		return true, votes
+	}
+	return false, 3 - votes
 }
 
 // Predict implements Binary. Confidence is 0 for a 2-1 vote and 2 for a
 // unanimous vote, scaled so it is comparable with counter confidences.
 func (g *GSkew) Predict(key uint64) Prediction {
-	taken, agree := g.vote(key)
+	i0, i1, i2 := g.indices(key)
+	taken, agree := majority(g.banks.taken(i0), g.banks.taken(i1), g.banks.taken(i2))
 	return Prediction{Taken: taken, Confidence: (agree - 2) * 2}
 }
 
 // Update implements Binary. Banks follow partial update: all banks train on
 // a correct prediction only if they agreed; on a misprediction every bank
-// trains toward the outcome ([Mich97] partial-update policy).
+// trains toward the outcome ([Mich97] partial-update policy). The three
+// entries lie in disjoint banks, so each bank's vote is read once and serves
+// both the majority and its own training decision.
 func (g *GSkew) Update(key uint64, outcome bool) {
-	predicted, _ := g.vote(key)
-	for b := 0; b < 3; b++ {
-		i := g.skewHash(b, key)
-		if predicted == outcome && g.banks.taken(i) != outcome {
-			continue // correct overall; do not disturb the dissenting bank
-		}
-		g.banks.train(i, outcome)
+	i0, i1, i2 := g.indices(key)
+	t0, t1, t2 := g.banks.taken(i0), g.banks.taken(i1), g.banks.taken(i2)
+	predicted, _ := majority(t0, t1, t2)
+	correct := predicted == outcome
+	// On a correct prediction a dissenting bank is left undisturbed.
+	if !correct || t0 == outcome {
+		g.banks.train(i0, outcome)
+	}
+	if !correct || t1 == outcome {
+		g.banks.train(i1, outcome)
+	}
+	if !correct || t2 == outcome {
+		g.banks.train(i2, outcome)
 	}
 	g.history <<= 1
 	if outcome {

@@ -6,13 +6,13 @@ package predict
 // tagless table of per-address history registers; level two is a pattern
 // table of saturating counters indexed by the history value. Both levels
 // are flat primitive arrays: histories are uint32 (historyLen is at most
-// 24 bits) and the pattern counters live in a ctrTable byte array.
+// 24 bits) and the pattern counters live in a ctrTable byte array. Both masks
+// are fixed at construction.
 type Local struct {
-	histories   []uint32
-	pattern     ctrTable
-	indexBits   uint
-	historyLen  uint
-	counterBits uint
+	histories []uint32
+	pattern   ctrTable
+	idxMask   uint64
+	histMask  uint32
 }
 
 // NewLocal returns a local predictor with 2^indexBits history registers of
@@ -23,13 +23,13 @@ func NewLocal(indexBits, historyLen, counterBits uint) *Local {
 	if historyLen == 0 || historyLen > 24 {
 		panic("predict: local history length out of range")
 	}
-	l := &Local{indexBits: indexBits, historyLen: historyLen, counterBits: counterBits}
+	l := &Local{idxMask: mask(indexBits), histMask: uint32(mask(historyLen))}
 	l.histories = make([]uint32, 1<<indexBits)
 	l.pattern = newCtrTable(1<<historyLen, counterBits, satInit(counterBits))
 	return l
 }
 
-func (l *Local) index(key uint64) uint64 { return hashIP(key) & mask(l.indexBits) }
+func (l *Local) index(key uint64) uint64 { return hashIP(key) & l.idxMask }
 
 // Predict implements Binary.
 func (l *Local) Predict(key uint64) Prediction {
@@ -41,7 +41,7 @@ func (l *Local) Update(key uint64, outcome bool) {
 	i := l.index(key)
 	h := l.histories[i]
 	l.pattern.train(uint64(h), outcome)
-	h = (h << 1) & uint32(mask(l.historyLen))
+	h = (h << 1) & l.histMask
 	if outcome {
 		h |= 1
 	}

@@ -315,3 +315,124 @@ func TestPolicyString(t *testing.T) {
 		}
 	}
 }
+
+// refGSkew is the reference GSkew formulation: it re-hashes (key, history)
+// for every bank it reads, votes in one pass and trains in a second, and
+// rebuilds its masks on every hash. The production GSkew derives all three
+// bank indices from one hash per call and reads each counter once; the two
+// must agree exactly.
+type refGSkew struct {
+	banks      ctrTable
+	history    uint64
+	indexBits  uint
+	historyLen uint
+}
+
+func newRefGSkew(indexBits, historyLen, counterBits uint) *refGSkew {
+	return &refGSkew{indexBits: indexBits, historyLen: historyLen,
+		banks: newCtrTable(3<<indexBits, counterBits, satInit(counterBits))}
+}
+
+func (g *refGSkew) skewHash(bank int, key uint64) uint64 {
+	var muls = [3]uint64{0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9}
+	v := hashIP(key) ^ (g.history & mask(g.historyLen))
+	v *= muls[bank]
+	v ^= v >> 31
+	return uint64(bank)<<g.indexBits | v&mask(g.indexBits)
+}
+
+func (g *refGSkew) vote(key uint64) (taken bool, agree int) {
+	votes := 0
+	for b := 0; b < 3; b++ {
+		if g.banks.taken(g.skewHash(b, key)) {
+			votes++
+		}
+	}
+	taken = votes >= 2
+	if taken {
+		agree = votes
+	} else {
+		agree = 3 - votes
+	}
+	return taken, agree
+}
+
+func (g *refGSkew) Predict(key uint64) Prediction {
+	taken, agree := g.vote(key)
+	return Prediction{Taken: taken, Confidence: (agree - 2) * 2}
+}
+
+func (g *refGSkew) Update(key uint64, outcome bool) {
+	predicted, _ := g.vote(key)
+	for b := 0; b < 3; b++ {
+		i := g.skewHash(b, key)
+		if predicted == outcome && g.banks.taken(i) != outcome {
+			continue
+		}
+		g.banks.train(i, outcome)
+	}
+	g.history <<= 1
+	if outcome {
+		g.history |= 1
+	}
+}
+
+// TestGSkewMatchesReference drives the production GSkew and the reference
+// formulation with the same seeded key/outcome streams at every production
+// geometry — (10,17,3) for bank predictors A/C and the policy table, and
+// (10,20,2) with init 0 for the hybrid hit-miss chooser — and requires the
+// same prediction at every step and the same tables at the end.
+func TestGSkewMatchesReference(t *testing.T) {
+	geoms := []struct {
+		indexBits, historyLen, counterBits uint
+		init                               int // -1: the constructor's default
+	}{
+		{10, 17, 3, -1},
+		{10, 20, 2, 0},
+		{8, 8, 2, -1}, // history shorter than the index, as in small tests
+	}
+	for _, geo := range geoms {
+		for _, seed := range []int64{1, 2, 3} {
+			got := NewGSkew(geo.indexBits, geo.historyLen, geo.counterBits)
+			want := newRefGSkew(geo.indexBits, geo.historyLen, geo.counterBits)
+			if geo.init >= 0 {
+				got.WithInit(uint8(geo.init))
+				want.banks.init = uint8(geo.init)
+				want.banks.reset()
+			}
+			rng := rand.New(rand.NewSource(seed))
+			// Load IPs: a hot working set plus a cold tail, with outcomes
+			// biased per key so the banks learn and still disagree.
+			hot := make([]uint64, 300)
+			bias := make([]int, len(hot))
+			for i := range hot {
+				hot[i] = 0x400000 + uint64(rng.Intn(1<<16))*4
+				bias[i] = rng.Intn(10)
+			}
+			for step := 0; step < 60_000; step++ {
+				var key uint64
+				var outcome bool
+				if i := rng.Intn(len(hot) + 30); i < len(hot) {
+					key, outcome = hot[i], rng.Intn(10) < bias[i]
+				} else {
+					key, outcome = rng.Uint64(), rng.Intn(2) == 0
+				}
+				if g, w := got.Predict(key), want.Predict(key); g != w {
+					t.Fatalf("geometry %+v seed %d step %d key %#x: Predict = %+v, reference %+v",
+						geo, seed, step, key, g, w)
+				}
+				got.Update(key, outcome)
+				want.Update(key, outcome)
+			}
+			if got.history != want.history {
+				t.Fatalf("geometry %+v seed %d: history %#x, reference %#x", geo, seed, got.history, want.history)
+			}
+			for i := range want.banks.v {
+				if got.banks.v[i] != want.banks.v[i] {
+					t.Fatalf("geometry %+v seed %d: counter %d = %d, reference %d",
+						geo, seed, i, got.banks.v[i], want.banks.v[i])
+				}
+			}
+		}
+	}
+}
